@@ -1,4 +1,6 @@
-//! The sequential BVRAM interpreter with exact cost accounting.
+//! The BVRAM interpreter with exact cost accounting: one instruction
+//! loop, `exec_loop`, shared by the sequential [`Machine`] and
+//! the parallel [`ParMachine`].
 //!
 //! Per section 2: the **parallel time complexity** `T` is the number of
 //! instructions executed (each instruction is one parallel step), and the
@@ -6,6 +8,7 @@
 //! lengths of their input and output registers.
 
 use crate::instr::{Instr, Reg};
+use crate::par::{bm_route_par, sbm_route_par};
 use crate::program::Program;
 use std::fmt;
 
@@ -95,23 +98,27 @@ pub struct RunOutcome {
     pub stats: Stats,
 }
 
-/// The sequential reference interpreter.
+/// The BVRAM interpreter.  `PAR` selects the backend at compile time:
+/// [`Machine`] (`PAR = false`) is the sequential reference and
+/// [`ParMachine`] (`PAR = true`) expands `bm_route`/`sbm_route` outputs of
+/// at least [`GRAIN`](crate::par::GRAIN) elements on worker threads.  Both
+/// run the same instruction loop, so their outputs, faults and [`Stats`]
+/// are identical.
 #[derive(Debug)]
-pub struct Machine {
+pub struct Engine<const PAR: bool> {
     regs: Vec<Vector>,
     step_limit: u64,
 }
 
-/// Computes `bm_route` (shared by the sequential and rayon backends and by
-/// the butterfly lowering).
-pub fn bm_route(bound_len: usize, counts: &[u64], values: &[u64]) -> Result<Vector, &'static str> {
-    let mut out = Vec::new();
-    bm_route_into(&mut out, bound_len, counts, values)?;
-    Ok(out)
-}
+/// The sequential reference interpreter.
+pub type Machine = Engine<false>;
 
-/// Like [`bm_route`], but writes into a caller-supplied buffer (cleared
-/// first) so the interpreter hot path can recycle allocations.
+/// The interpreter whose route expansions run on worker threads.
+pub type ParMachine = Engine<true>;
+
+/// Computes `bm_route` into `out` (cleared first, so the interpreter can
+/// recycle the destination's buffer): replicate `values[i]` exactly
+/// `counts[i]` times.
 pub fn bm_route_into(
     out: &mut Vector,
     bound_len: usize,
@@ -129,21 +136,8 @@ pub fn bm_route_into(
     Ok(())
 }
 
-/// Computes `sbm_route`: replicate subsequence `i` of `(data, segs)`
-/// exactly `counts[i]` times.
-pub fn sbm_route(
-    bound_len: usize,
-    counts: &[u64],
-    data: &[u64],
-    segs: &[u64],
-) -> Result<Vector, &'static str> {
-    let mut out = Vec::new();
-    sbm_route_into(&mut out, bound_len, counts, data, segs)?;
-    Ok(out)
-}
-
-/// Like [`sbm_route`], but writes into a caller-supplied buffer (cleared
-/// first) so the interpreter hot path can recycle allocations.
+/// Computes `sbm_route` into `out` (cleared first): replicate
+/// subsequence `i` of `(data, segs)` exactly `counts[i]` times.
 pub fn sbm_route_into(
     out: &mut Vector,
     bound_len: usize,
@@ -205,7 +199,8 @@ pub(crate) fn validate_sbm(
 }
 
 /// Splits mutable access: `(&mut regs[i], &regs[j])` for `i != j`.
-pub(crate) fn reg_pair_mut(regs: &mut [Vector], i: usize, j: usize) -> (&mut Vector, &Vector) {
+#[inline]
+fn reg_pair_mut(regs: &mut [Vector], i: usize, j: usize) -> (&mut Vector, &Vector) {
     debug_assert_ne!(i, j);
     if i < j {
         let (lo, hi) = regs.split_at_mut(j);
@@ -216,79 +211,10 @@ pub(crate) fn reg_pair_mut(regs: &mut [Vector], i: usize, j: usize) -> (&mut Vec
     }
 }
 
-// Aliasing-aware instruction bodies shared verbatim by [`Machine`] and
-// [`crate::par::ParMachine`] (whose results must stay bit-for-bit
-// identical): each recycles the destination buffer instead of allocating.
-
-/// `Vdst ← Vsrc` (no-op when `dst == src`; the cost is still charged by
-/// the caller).
-pub(crate) fn exec_move(regs: &mut [Vector], dst: usize, src: usize) {
-    if dst != src {
-        let (d, s) = reg_pair_mut(regs, dst, src);
-        d.clear();
-        d.extend_from_slice(s);
-    }
-}
-
-/// `Vdst ← Va @ Vb`.
-pub(crate) fn exec_append(regs: &mut [Vector], dst: usize, a: usize, b: usize) {
-    if dst == a && dst == b {
-        let d = &mut regs[dst];
-        d.extend_from_within(..);
-    } else if dst == a {
-        let (d, vb) = reg_pair_mut(regs, dst, b);
-        d.extend_from_slice(vb);
-    } else if dst == b {
-        let (d, va) = reg_pair_mut(regs, dst, a);
-        d.splice(0..0, va.iter().copied());
-    } else {
-        let mut out = std::mem::take(&mut regs[dst]);
-        out.clear();
-        out.extend_from_slice(&regs[a]);
-        out.extend_from_slice(&regs[b]);
-        regs[dst] = out;
-    }
-}
-
-/// `Vdst ← [n]`.
-pub(crate) fn exec_singleton(regs: &mut [Vector], dst: usize, n: u64) {
-    let d = &mut regs[dst];
-    d.clear();
-    d.push(n);
-}
-
-/// `Vdst ← [length(Vsrc)]`.
-pub(crate) fn exec_length(regs: &mut [Vector], dst: usize, src: usize) {
-    let n = regs[src].len() as u64;
-    let d = &mut regs[dst];
-    d.clear();
-    d.push(n);
-}
-
-/// `Vdst ← [0, …, length(Vsrc) − 1]`, sequentially.
-pub(crate) fn exec_enumerate(regs: &mut [Vector], dst: usize, src: usize) {
-    let n = regs[src].len() as u64;
-    let d = &mut regs[dst];
-    d.clear();
-    d.extend(0..n);
-}
-
-/// `Vdst ← σ(Vsrc)`, sequentially (in-place `retain` when aliased).
-pub(crate) fn exec_select(regs: &mut [Vector], dst: usize, src: usize) {
-    if dst == src {
-        regs[dst].retain(|x| *x != 0);
-    } else {
-        let mut out = std::mem::take(&mut regs[dst]);
-        out.clear();
-        out.extend(regs[src].iter().copied().filter(|x| *x != 0));
-        regs[dst] = out;
-    }
-}
-
-impl Machine {
-    /// A machine sized for the program, with a default step limit.
+impl<const PAR: bool> Engine<PAR> {
+    /// A machine sized for the program, with no step limit.
     pub fn new(n_regs: usize) -> Self {
-        Machine {
+        Engine {
             regs: vec![Vec::new(); n_regs],
             step_limit: u64::MAX,
         }
@@ -318,32 +244,47 @@ impl Machine {
         &self.regs[r as usize]
     }
 
-    /// Resizes and clears the register file (capacity is retained, so a
-    /// reused machine does not reallocate).
-    fn prepare(&mut self, prog: &Program) {
+    /// Checks the input arity, then resizes and clears the register file
+    /// (capacity is retained, so a reused machine does not reallocate).
+    fn prepare(&mut self, prog: &Program, n_inputs: usize) -> Result<(), MachineError> {
+        if n_inputs != prog.r_in {
+            return Err(MachineError::BadInputArity {
+                expected: prog.r_in,
+                got: n_inputs,
+            });
+        }
         if self.regs.len() < prog.n_regs {
             self.regs.resize(prog.n_regs, Vec::new());
         }
         for r in self.regs.iter_mut() {
             r.clear();
         }
+        Ok(())
     }
 
     /// Runs a program on borrowed inputs (copied into the register file,
-    /// reusing its buffers).  Prefer [`Machine::run_owned`] when the
+    /// reusing its buffers).  Prefer [`Engine::run_owned`] when the
     /// caller owns the input vectors — it skips the copy entirely.
     pub fn run(&mut self, prog: &Program, inputs: &[Vector]) -> Result<RunOutcome, MachineError> {
-        if inputs.len() != prog.r_in {
-            return Err(MachineError::BadInputArity {
-                expected: prog.r_in,
-                got: inputs.len(),
-            });
+        self.run_observed(prog, inputs, |_, _| {})
+    }
+
+    /// Like [`Engine::run`], and calls `observe(instr, work)` after every
+    /// executed instruction with that instruction's share of
+    /// [`Stats::work`].  On a successful run `observe` fires exactly
+    /// `stats.time` times (the final `Halt` included) and its `work`
+    /// arguments sum to `stats.work`.
+    pub fn run_observed(
+        &mut self,
+        prog: &Program,
+        inputs: &[Vector],
+        observe: impl FnMut(&Instr, u64),
+    ) -> Result<RunOutcome, MachineError> {
+        self.prepare(prog, inputs.len())?;
+        for (r, v) in self.regs.iter_mut().zip(inputs) {
+            r.extend_from_slice(v);
         }
-        self.prepare(prog);
-        for (i, v) in inputs.iter().enumerate() {
-            self.regs[i].extend_from_slice(v);
-        }
-        self.exec_loop(prog)
+        self.exec_loop(prog, observe)
     }
 
     /// Runs a program taking ownership of the inputs: the vectors are
@@ -353,24 +294,26 @@ impl Machine {
         prog: &Program,
         inputs: Vec<Vector>,
     ) -> Result<RunOutcome, MachineError> {
-        if inputs.len() != prog.r_in {
-            return Err(MachineError::BadInputArity {
-                expected: prog.r_in,
-                got: inputs.len(),
-            });
+        self.prepare(prog, inputs.len())?;
+        for (r, v) in self.regs.iter_mut().zip(inputs) {
+            *r = v;
         }
-        self.prepare(prog);
-        for (i, v) in inputs.into_iter().enumerate() {
-            self.regs[i] = v;
-        }
-        self.exec_loop(prog)
+        self.exec_loop(prog, |_, _| {})
     }
 
-    fn exec_loop(&mut self, prog: &Program) -> Result<RunOutcome, MachineError> {
+    /// The instruction loop.  Every arm recycles the destination buffer
+    /// where aliasing allows instead of allocating.
+    fn exec_loop(
+        &mut self,
+        prog: &Program,
+        mut observe: impl FnMut(&Instr, u64),
+    ) -> Result<RunOutcome, MachineError> {
+        let step_limit = self.step_limit;
+        let regs = &mut self.regs;
         let mut stats = Stats::default();
         let mut pc = 0usize;
         loop {
-            if stats.time >= self.step_limit {
+            if stats.time >= step_limit {
                 return Err(MachineError::StepLimit);
             }
             let Some(ins) = prog.instrs.get(pc) else {
@@ -381,17 +324,21 @@ impl Machine {
             let in_work: u64 = ins
                 .inputs()
                 .iter()
-                .map(|r| self.regs[*r as usize].len() as u64)
+                .map(|r| regs[*r as usize].len() as u64)
                 .sum();
-
-            let mut jumped = false;
-            match ins {
+            let mut next = pc + 1;
+            match *ins {
                 Instr::Move { dst, src } => {
-                    exec_move(&mut self.regs, *dst as usize, *src as usize);
+                    // A self-move is a no-op (its cost is still charged).
+                    if dst != src {
+                        let (d, s) = reg_pair_mut(regs, dst as usize, src as usize);
+                        d.clear();
+                        d.extend_from_slice(s);
+                    }
                 }
                 Instr::Arith { dst, op, a, b } => {
-                    let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
-                    let (la, lb) = (self.regs[a].len(), self.regs[b].len());
+                    let (dst, a, b) = (dst as usize, a as usize, b as usize);
+                    let (la, lb) = (regs[a].len(), regs[b].len());
                     if la != lb {
                         return Err(MachineError::LengthMismatch {
                             at: pc,
@@ -401,42 +348,64 @@ impl Machine {
                     }
                     let fault = MachineError::Arithmetic { at: pc };
                     if dst == a && dst == b {
-                        for x in self.regs[dst].iter_mut() {
+                        for x in regs[dst].iter_mut() {
                             *x = op.apply(*x, *x).ok_or_else(|| fault.clone())?;
                         }
                     } else if dst == a {
-                        let (d, vb) = reg_pair_mut(&mut self.regs, dst, b);
+                        let (d, vb) = reg_pair_mut(regs, dst, b);
                         for (x, y) in d.iter_mut().zip(vb) {
                             *x = op.apply(*x, *y).ok_or_else(|| fault.clone())?;
                         }
                     } else if dst == b {
-                        let (d, va) = reg_pair_mut(&mut self.regs, dst, a);
+                        let (d, va) = reg_pair_mut(regs, dst, a);
                         for (y, x) in d.iter_mut().zip(va) {
                             *y = op.apply(*x, *y).ok_or_else(|| fault.clone())?;
                         }
                     } else {
-                        // Reuse dst's buffer for the fresh result.
-                        let mut out = std::mem::take(&mut self.regs[dst]);
+                        let mut out = std::mem::take(&mut regs[dst]);
                         out.clear();
                         out.reserve(la);
-                        for (x, y) in self.regs[a].iter().zip(&self.regs[b]) {
+                        for (x, y) in regs[a].iter().zip(&regs[b]) {
                             out.push(op.apply(*x, *y).ok_or_else(|| fault.clone())?);
                         }
-                        self.regs[dst] = out;
+                        regs[dst] = out;
                     }
                 }
-                Instr::Empty { dst } => self.regs[*dst as usize].clear(),
+                Instr::Empty { dst } => regs[dst as usize].clear(),
                 Instr::Singleton { dst, n } => {
-                    exec_singleton(&mut self.regs, *dst as usize, *n);
+                    let d = &mut regs[dst as usize];
+                    d.clear();
+                    d.push(n);
                 }
                 Instr::Append { dst, a, b } => {
-                    exec_append(&mut self.regs, *dst as usize, *a as usize, *b as usize);
+                    let (dst, a, b) = (dst as usize, a as usize, b as usize);
+                    if dst == a && dst == b {
+                        regs[dst].extend_from_within(..);
+                    } else if dst == a {
+                        let (d, vb) = reg_pair_mut(regs, dst, b);
+                        d.extend_from_slice(vb);
+                    } else if dst == b {
+                        let (d, va) = reg_pair_mut(regs, dst, a);
+                        d.splice(0..0, va.iter().copied());
+                    } else {
+                        let mut out = std::mem::take(&mut regs[dst]);
+                        out.clear();
+                        out.extend_from_slice(&regs[a]);
+                        out.extend_from_slice(&regs[b]);
+                        regs[dst] = out;
+                    }
                 }
                 Instr::Length { dst, src } => {
-                    exec_length(&mut self.regs, *dst as usize, *src as usize);
+                    let n = regs[src as usize].len() as u64;
+                    let d = &mut regs[dst as usize];
+                    d.clear();
+                    d.push(n);
                 }
                 Instr::Enumerate { dst, src } => {
-                    exec_enumerate(&mut self.regs, *dst as usize, *src as usize);
+                    let n = regs[src as usize].len() as u64;
+                    let d = &mut regs[dst as usize];
+                    d.clear();
+                    d.extend(0..n);
                 }
                 Instr::BmRoute {
                     dst,
@@ -444,26 +413,23 @@ impl Machine {
                     counts,
                     values,
                 } => {
-                    let (dst, bound, counts, values) = (
-                        *dst as usize,
-                        *bound as usize,
-                        *counts as usize,
-                        *values as usize,
-                    );
+                    let (dst, counts, values) = (dst as usize, counts as usize, values as usize);
                     // Only the *length* of bound matters, so read it before
                     // recycling dst's buffer (dst may alias bound).
-                    let bound_len = self.regs[bound].len();
-                    if dst == counts || dst == values {
-                        // dst aliases a data operand: route into a fresh buffer.
-                        let out = bm_route(bound_len, &self.regs[counts], &self.regs[values])
-                            .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                        self.regs[dst] = out;
+                    let bound_len = regs[bound as usize].len();
+                    let mut out = if dst == counts || dst == values {
+                        Vec::new()
                     } else {
-                        let mut out = std::mem::take(&mut self.regs[dst]);
-                        bm_route_into(&mut out, bound_len, &self.regs[counts], &self.regs[values])
-                            .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                        self.regs[dst] = out;
+                        std::mem::take(&mut regs[dst])
+                    };
+                    let (c, v) = (&regs[counts], &regs[values]);
+                    if PAR {
+                        bm_route_par(&mut out, bound_len, c, v)
+                    } else {
+                        bm_route_into(&mut out, bound_len, c, v)
                     }
+                    .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
+                    regs[dst] = out;
                 }
                 Instr::SbmRoute {
                     dst,
@@ -472,69 +438,53 @@ impl Machine {
                     data,
                     segs,
                 } => {
-                    let (dst, bound, counts, data, segs) = (
-                        *dst as usize,
-                        *bound as usize,
-                        *counts as usize,
-                        *data as usize,
-                        *segs as usize,
-                    );
-                    let bound_len = self.regs[bound].len();
-                    if dst == counts || dst == data || dst == segs {
-                        let out = sbm_route(
-                            bound_len,
-                            &self.regs[counts],
-                            &self.regs[data],
-                            &self.regs[segs],
-                        )
-                        .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                        self.regs[dst] = out;
+                    let (dst, counts, data, segs) =
+                        (dst as usize, counts as usize, data as usize, segs as usize);
+                    let bound_len = regs[bound as usize].len();
+                    let mut out = if dst == counts || dst == data || dst == segs {
+                        Vec::new()
                     } else {
-                        let mut out = std::mem::take(&mut self.regs[dst]);
-                        sbm_route_into(
-                            &mut out,
-                            bound_len,
-                            &self.regs[counts],
-                            &self.regs[data],
-                            &self.regs[segs],
-                        )
-                        .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                        self.regs[dst] = out;
+                        std::mem::take(&mut regs[dst])
+                    };
+                    let (c, d, s) = (&regs[counts], &regs[data], &regs[segs]);
+                    if PAR {
+                        sbm_route_par(&mut out, bound_len, c, d, s)
+                    } else {
+                        sbm_route_into(&mut out, bound_len, c, d, s)
                     }
+                    .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
+                    regs[dst] = out;
                 }
                 Instr::Select { dst, src } => {
-                    exec_select(&mut self.regs, *dst as usize, *src as usize);
+                    let (dst, src) = (dst as usize, src as usize);
+                    if dst == src {
+                        regs[dst].retain(|x| *x != 0);
+                    } else {
+                        let mut out = std::mem::take(&mut regs[dst]);
+                        out.clear();
+                        out.extend(regs[src].iter().copied().filter(|x| *x != 0));
+                        regs[dst] = out;
+                    }
                 }
-                Instr::Goto { target } => {
-                    pc = *target as usize;
-                    jumped = true;
-                }
+                Instr::Goto { target } => next = target as usize,
                 Instr::IfEmptyGoto { reg, target } => {
-                    if self.regs[*reg as usize].is_empty() {
-                        pc = *target as usize;
-                        jumped = true;
+                    if regs[reg as usize].is_empty() {
+                        next = target as usize;
                     }
                 }
                 Instr::Halt => {
                     stats.work += in_work;
-                    let outputs = self.regs[..prog.r_out]
-                        .iter_mut()
-                        .map(std::mem::take)
-                        .collect();
+                    observe(ins, in_work);
+                    let outputs = regs[..prog.r_out].iter_mut().map(std::mem::take).collect();
                     return Ok(RunOutcome { outputs, stats });
                 }
             }
-            let out_work = ins
-                .output()
-                .map(|r| self.regs[r as usize].len() as u64)
-                .unwrap_or(0);
-            stats.work += in_work + out_work;
-            if let Some(r) = ins.output() {
-                stats.max_len = stats.max_len.max(self.regs[r as usize].len());
-            }
-            if !jumped {
-                pc += 1;
-            }
+            let out_len = ins.output().map_or(0, |r| regs[r as usize].len());
+            let work = in_work + out_len as u64;
+            stats.work += work;
+            stats.max_len = stats.max_len.max(out_len);
+            observe(ins, work);
+            pc = next;
         }
     }
 }
@@ -554,7 +504,8 @@ mod tests {
     fn bm_route_matches_paper_example() {
         // bm_route with bound [x0..x4], counts [2,0,3], values [a,b,c]
         // gives [a, a, c, c, c].
-        let out = bm_route(5, &[2, 0, 3], &[10, 20, 30]).unwrap();
+        let mut out = Vec::new();
+        bm_route_into(&mut out, 5, &[2, 0, 3], &[10, 20, 30]).unwrap();
         assert_eq!(out, vec![10, 10, 30, 30, 30]);
     }
 
@@ -562,7 +513,15 @@ mod tests {
     fn sbm_route_matches_paper_example() {
         // Vj=[x0..x4], Vk=[2,0,3], Vl=[a0,a1,b0,b1,b2,c0,c1,c2], Vm=[2,3,3]
         // => [a0,a1,a0,a1,c0,c1,c2,c0,c1,c2,c0,c1,c2]
-        let out = sbm_route(5, &[2, 0, 3], &[1, 2, 10, 11, 12, 20, 21, 22], &[2, 3, 3]).unwrap();
+        let mut out = Vec::new();
+        sbm_route_into(
+            &mut out,
+            5,
+            &[2, 0, 3],
+            &[1, 2, 10, 11, 12, 20, 21, 22],
+            &[2, 3, 3],
+        )
+        .unwrap();
         assert_eq!(out, vec![1, 2, 1, 2, 20, 21, 22, 20, 21, 22, 20, 21, 22]);
     }
 
@@ -572,7 +531,8 @@ mod tests {
         // bound length must be 3 (counts [3] over values nested [1,2,3]...):
         // replicate the single subsequence [1,2,3] twice for the two x's?
         // Cartesian [x;2] x [y;3]: counts=[2], segs=[3], bound len 2.
-        let out = sbm_route(2, &[2], &[1, 2, 3], &[3]).unwrap();
+        let mut out = Vec::new();
+        sbm_route_into(&mut out, 2, &[2], &[1, 2, 3], &[3]).unwrap();
         assert_eq!(out, vec![1, 2, 3, 1, 2, 3]);
     }
 

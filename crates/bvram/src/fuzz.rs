@@ -1,6 +1,6 @@
-//! Deterministic generation of random straight-line BVRAM programs for
-//! differential testing (sequential vs rayon backend, optimized vs
-//! unoptimized).
+//! Deterministic generation of random BVRAM programs — straight-line, or
+//! a straight-line body in a data-driven loop — for differential testing
+//! (sequential vs parallel backend, optimized vs unoptimized).
 //!
 //! The decoder turns a slice of random words into a `Halt`-terminated
 //! straight-line program over [`FUZZ_REGS`] registers, tracking simulated
@@ -188,6 +188,38 @@ pub fn decode_program(words: &[u64], input_lens: [usize; FUZZ_INPUTS], r_out: us
         .expect("fuzz programs are straight-line and label-free")
 }
 
+/// Decodes `words` like [`decode_program`], then runs that body once per
+/// element of input `V2`: a loop counts register `FUZZ_REGS` down with
+/// `enumerate`/`select` and exits through `if_empty_goto`, so control flow
+/// and register lengths change from trip to trip.
+pub fn decode_looping_program(
+    words: &[u64],
+    input_lens: [usize; FUZZ_INPUTS],
+    r_out: usize,
+) -> Program {
+    let body = decode_program(words, input_lens, r_out);
+    let (count, tmp) = (FUZZ_REGS as Reg, FUZZ_REGS as Reg + 1);
+    let mut b = Builder::new(FUZZ_INPUTS, r_out);
+    b.push(Instr::Enumerate { dst: count, src: 2 })
+        .label("loop")
+        .if_empty_goto(count, "done");
+    for ins in &body.instrs[..body.instrs.len() - 1] {
+        b.push(ins.clone());
+    }
+    b.push(Instr::Enumerate {
+        dst: tmp,
+        src: count,
+    })
+    .push(Instr::Select {
+        dst: count,
+        src: tmp,
+    })
+    .goto("loop")
+    .label("done")
+    .push(Instr::Halt);
+    b.build().expect("fuzz loops have one defined label pair")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,5 +254,29 @@ mod tests {
             }
         }
         assert!(ok >= 10, "only {ok}/20 generated programs ran cleanly");
+    }
+
+    #[test]
+    fn looping_programs_often_complete_several_trips() {
+        let mut ok = 0;
+        for seed in 0..20u64 {
+            let words: Vec<u64> = (0..30u64)
+                .map(|i| {
+                    (seed + 1)
+                        .wrapping_mul(i.wrapping_add(3))
+                        .wrapping_mul(0x2545_f491_4f6c_dd1d)
+                })
+                .collect();
+            let body = decode_program(&words, [5, 2, 3], FUZZ_REGS);
+            let looping = decode_looping_program(&words, [5, 2, 3], FUZZ_REGS);
+            let inputs = vec![vec![1; 5], vec![0, 3], vec![9; 3]];
+            if let Ok(out) = crate::exec::run_program(&looping, &inputs) {
+                // Three trips of the body plus the loop's own steps.
+                let trip = body.instrs.len() as u64 - 1 + 4;
+                assert_eq!(out.stats.time, 1 + 3 * trip + 2);
+                ok += 1;
+            }
+        }
+        assert!(ok >= 10, "only {ok}/20 looping programs ran cleanly");
     }
 }

@@ -56,6 +56,7 @@ pub enum Op {
 
 impl Op {
     /// Applies the operation; `None` for the partial cases.
+    #[inline]
     pub fn apply(self, m: u64, n: u64) -> Option<u64> {
         match self {
             Op::Add => m.checked_add(n),
@@ -216,33 +217,83 @@ pub enum Instr {
     Halt,
 }
 
+/// The registers one instruction reads: at most four, stored inline so
+/// per-step work accounting never touches the heap.  Derefs to `&[Reg]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Operands {
+    regs: [Reg; 4],
+    len: u8,
+}
+
+impl Operands {
+    fn of<const N: usize>(regs: [Reg; N]) -> Self {
+        let mut out = Operands {
+            regs: [0; 4],
+            len: N as u8,
+        };
+        out.regs[..N].copy_from_slice(&regs);
+        out
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [Reg];
+    #[inline]
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, 4>>;
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
+    }
+}
+
 impl Instr {
     /// The registers this instruction reads.
-    pub fn inputs(&self) -> Vec<Reg> {
+    #[inline]
+    pub fn inputs(&self) -> Operands {
         match self {
             Instr::Move { src, .. }
             | Instr::Length { src, .. }
             | Instr::Enumerate { src, .. }
-            | Instr::Select { src, .. } => vec![*src],
-            Instr::Arith { a, b, .. } | Instr::Append { a, b, .. } => vec![*a, *b],
+            | Instr::Select { src, .. } => Operands::of([*src]),
+            Instr::Arith { a, b, .. } | Instr::Append { a, b, .. } => Operands::of([*a, *b]),
             Instr::BmRoute {
                 bound,
                 counts,
                 values,
                 ..
-            } => vec![*bound, *counts, *values],
+            } => Operands::of([*bound, *counts, *values]),
             Instr::SbmRoute {
                 bound,
                 counts,
                 data,
                 segs,
                 ..
-            } => vec![*bound, *counts, *data, *segs],
-            Instr::IfEmptyGoto { reg, .. } => vec![*reg],
+            } => Operands::of([*bound, *counts, *data, *segs]),
+            Instr::IfEmptyGoto { reg, .. } => Operands::of([*reg]),
             Instr::Empty { .. } | Instr::Singleton { .. } | Instr::Goto { .. } | Instr::Halt => {
-                vec![]
+                Operands::of([])
             }
         }
+    }
+
+    /// Whether this is one of the communication primitives whose
+    /// element offsets come from a prefix scan (`bm_route`, `sbm_route`,
+    /// `select`, `append`), as opposed to elementwise or control steps.
+    pub fn is_routing(&self) -> bool {
+        matches!(
+            self,
+            Instr::BmRoute { .. }
+                | Instr::SbmRoute { .. }
+                | Instr::Select { .. }
+                | Instr::Append { .. }
+        )
     }
 
     /// Rewrites every register operand (inputs and output) through `f`.
@@ -292,6 +343,7 @@ impl Instr {
     }
 
     /// The register this instruction writes, if any.
+    #[inline]
     pub fn output(&self) -> Option<Reg> {
         match self {
             Instr::Move { dst, .. }
@@ -363,9 +415,9 @@ mod tests {
             counts: 2,
             values: 3,
         };
-        assert_eq!(i.inputs(), vec![1, 2, 3]);
+        assert_eq!(*i.inputs(), [1, 2, 3]);
         assert_eq!(i.output(), Some(0));
-        assert_eq!(Instr::Halt.inputs(), Vec::<Reg>::new());
+        assert_eq!(*Instr::Halt.inputs(), [] as [Reg; 0]);
         assert_eq!(Instr::Halt.output(), None);
     }
 

@@ -13,10 +13,11 @@
 //!   sequential baseline every batching mode is measured against.
 //! * [`run_lanes_rayon`] — distribute the lanes over worker threads
 //!   (rayon), **one machine per worker**, optionally running each lane on
-//!   the rayon-parallel [`ParMachine`] instead of the sequential
-//!   [`Machine`].  Results are returned in lane order and are bit-for-bit
-//!   identical to [`run_lanes_seq`] — including per-lane faults, which
-//!   never abort the other lanes.
+//!   [`ParMachine`](crate::exec::ParMachine) (the same interpreter loop
+//!   with its large route expansions split over threads) instead of the
+//!   sequential [`Machine`].  Results are returned in lane order and are
+//!   bit-for-bit identical to [`run_lanes_seq`] — including per-lane
+//!   faults, which never abort the other lanes.
 //!
 //! The *pack* alternative — fusing the lanes into a single program run
 //! over lane-offset registers — is not expressible at this level for an
@@ -24,8 +25,7 @@
 //! the lane boundaries), so it lives where the boundaries are known: the
 //! `nsc-runtime` crate builds it from the source-level Map Lemma.
 
-use crate::exec::{Machine, MachineError, RunOutcome, Vector};
-use crate::par::ParMachine;
+use crate::exec::{Engine, Machine, MachineError, RunOutcome, Vector};
 use crate::program::Program;
 use rayon::prelude::*;
 
@@ -46,10 +46,28 @@ pub fn run_lanes_seq(
         .collect()
 }
 
+/// A lane's inputs going in and its result coming out, so the parallel
+/// loop needs no shared mutable state beyond disjoint chunks.
+type Slot = (
+    Option<Vec<Vector>>,
+    Option<Result<RunOutcome, MachineError>>,
+);
+
+/// Runs one worker's chunk of lanes on one machine, reused across its
+/// lanes (warm buffers), as [`run_lanes_seq`] does for the whole batch.
+fn run_slots<const PAR: bool>(prog: &Program, slots: &mut [Slot]) {
+    let mut m = Engine::<PAR>::new(prog.n_regs);
+    for s in slots {
+        let inputs = s.0.take().expect("lane inputs present");
+        s.1 = Some(m.run_owned(prog, inputs));
+    }
+}
+
 /// Runs the lanes in parallel across worker threads, one machine per
-/// worker; with `inner_par` each lane additionally executes on the
-/// rayon-parallel [`ParMachine`] (nested parallelism — worth it only when
-/// individual lanes are large).
+/// worker; with `inner_par` each lane additionally executes on
+/// [`ParMachine`](crate::exec::ParMachine) (nested parallelism — worth it
+/// only when individual lanes route at least [`crate::par::GRAIN`]
+/// elements).
 ///
 /// Semantics are identical to [`run_lanes_seq`]: results come back in
 /// lane order and a faulting lane never disturbs its neighbours.
@@ -62,32 +80,16 @@ pub fn run_lanes_rayon(
     if n == 0 {
         return Vec::new();
     }
-    // Each slot carries its lane's inputs in and its result out, so the
-    // parallel loop needs no shared mutable state beyond disjoint chunks.
-    type Slot = (
-        Option<Vec<Vector>>,
-        Option<Result<RunOutcome, MachineError>>,
-    );
     let mut slots: Vec<Slot> = lanes.into_iter().map(|l| (Some(l), None)).collect();
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let chunk = n.div_ceil(workers).max(1);
     slots.par_chunks_mut(chunk).for_each(|chunk_slots| {
-        // One machine per worker chunk, reused across its lanes (warm
-        // buffers), mirroring run_lanes_seq within the chunk.
         if inner_par {
-            let mut m = ParMachine::new(prog.n_regs);
-            for s in chunk_slots {
-                let inputs = s.0.take().expect("lane inputs present");
-                s.1 = Some(m.run_owned(prog, inputs));
-            }
+            run_slots::<true>(prog, chunk_slots);
         } else {
-            let mut m = Machine::new(prog.n_regs);
-            for s in chunk_slots {
-                let inputs = s.0.take().expect("lane inputs present");
-                s.1 = Some(m.run_owned(prog, inputs));
-            }
+            run_slots::<false>(prog, chunk_slots);
         }
     });
     slots

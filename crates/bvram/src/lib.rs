@@ -14,8 +14,12 @@
 //! Cost model: `T` = instructions executed, `W` = Σ lengths of the input
 //! and output registers of each executed instruction.
 //!
-//! Backends: [`exec::Machine`] (sequential reference) and
-//! [`par::ParMachine`] (rayon, bit-for-bit identical results).
+//! Backends: one instruction loop, [`exec::Engine`], in two compiled
+//! instantiations — [`Machine`] (sequential reference) and [`ParMachine`],
+//! which differs only in expanding `bm_route`/`sbm_route` outputs of at
+//! least [`par::GRAIN`] elements on worker threads, so both give
+//! bit-for-bit identical results.  [`Machine::run_observed`] reports each
+//! executed instruction and its work to a caller-supplied observer.
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -30,9 +34,8 @@ pub mod verify;
 
 pub use analysis::StaticCost;
 pub use cost::{cost_program, CostBound, CostReport, Poly};
-pub use exec::{run_program, Machine, MachineError, RunOutcome, Stats, Vector};
-pub use instr::{Instr, Label, Op, Reg};
+pub use exec::{run_program, Engine, Machine, MachineError, ParMachine, RunOutcome, Stats, Vector};
+pub use instr::{Instr, Label, Op, Operands, Reg};
 pub use lanes::{run_lanes_rayon, run_lanes_seq};
-pub use par::ParMachine;
 pub use program::{BuildError, Builder, Program, TripBound, TripHint};
 pub use verify::{verify_program, verify_program_basic, FaultReason, FaultSite, Report, Violation};

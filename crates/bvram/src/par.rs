@@ -1,37 +1,80 @@
-//! A rayon-parallel execution backend for BVRAM programs.
+//! The parallel half of [`crate::exec::ParMachine`].
 //!
-//! The BVRAM is an abstract SIMD machine; this backend demonstrates that
-//! compiled programs run with real parallel speedup on today's
-//! shared-memory hardware (the paper: "this needs to be tested in
-//! practice").  Elementwise arithmetic, `enumerate`, and the routing
-//! expansions are parallelised with rayon once registers exceed a grain
-//! size; results are bit-for-bit identical to [`crate::exec::Machine`].
+//! `ParMachine` runs the one BVRAM instruction loop in `exec`; the only
+//! steps it executes differently are the `bm_route`/`sbm_route`
+//! expansions, which this module splits over worker threads (rayon
+//! `par_chunks_mut`) once the output reaches [`GRAIN`] elements.  Results
+//! and faults are bit-for-bit those of the sequential
+//! [`crate::exec::Machine`].
 
-use crate::exec::{MachineError, RunOutcome, Stats, Vector};
-use crate::instr::Instr;
-use crate::program::Program;
+use crate::exec::{bm_route_into, sbm_route_into, validate_bm, validate_sbm, Vector};
 use rayon::prelude::*;
 
-/// Below this register length the sequential path is used (avoids rayon
+/// Below this output length a route expands sequentially (avoids thread
 /// overhead dominating small vectors).
 pub const GRAIN: usize = 4096;
 
-/// `sbm_route` with the expansion parallelised over output chunks once
-/// the output reaches [`GRAIN`] elements (the same exclusive-prefix +
-/// chunk-fill strategy `bm_route` uses).  Invariants are checked in the
-/// same order as [`crate::exec::sbm_route`] so both backends report
-/// identical faults.
-fn sbm_route_par(
+/// `bm_route` into `out` (cleared first), expanded in parallel once the
+/// output reaches [`GRAIN`] elements: exclusive prefix offsets, then each
+/// output chunk fills its slots independently.  Faults match
+/// [`bm_route_into`].
+pub(crate) fn bm_route_par(
+    out: &mut Vector,
+    bound_len: usize,
+    counts: &[u64],
+    values: &[u64],
+) -> Result<(), &'static str> {
+    if bound_len < GRAIN {
+        return bm_route_into(out, bound_len, counts, values);
+    }
+    validate_bm(bound_len, counts, values)?;
+    let mut offs = Vec::with_capacity(counts.len() + 1);
+    let mut acc = 0u64;
+    offs.push(0);
+    for c in counts {
+        acc += c;
+        offs.push(acc);
+    }
+    out.clear();
+    out.resize(bound_len, 0);
+    out.par_chunks_mut(GRAIN)
+        .enumerate()
+        .for_each(|(chunk_idx, chunk)| {
+            let base = (chunk_idx * GRAIN) as u64;
+            // Locate the source for the first slot by binary search, then
+            // walk forward.
+            let mut src = offs.partition_point(|o| *o <= base).saturating_sub(1);
+            for (i, slot) in chunk.iter_mut().enumerate() {
+                let pos = base + i as u64;
+                while offs[src + 1] <= pos {
+                    src += 1;
+                }
+                *slot = values[src];
+            }
+        });
+    Ok(())
+}
+
+/// `sbm_route` into `out` (cleared first), with the same prefix-offset,
+/// chunk-fill expansion once the output reaches [`GRAIN`] elements.
+/// Faults match [`sbm_route_into`].
+pub(crate) fn sbm_route_par(
+    out: &mut Vector,
     bound_len: usize,
     counts: &[u64],
     data: &[u64],
     segs: &[u64],
-) -> Result<Vector, &'static str> {
-    crate::exec::validate_sbm(bound_len, counts, data, segs)?;
-    let out_len: usize = counts.iter().zip(segs).map(|(c, s)| (c * s) as usize).sum();
-    if out_len < GRAIN {
-        return crate::exec::sbm_route(bound_len, counts, data, segs);
+) -> Result<(), &'static str> {
+    // Saturating: the operands are not validated yet, and either path
+    // validates before writing, so a bogus size only picks the path.
+    let out_len = counts
+        .iter()
+        .zip(segs)
+        .fold(0u64, |acc, (c, s)| acc.saturating_add(c.saturating_mul(*s)));
+    if out_len < GRAIN as u64 {
+        return sbm_route_into(out, bound_len, counts, data, segs);
     }
+    validate_sbm(bound_len, counts, data, segs)?;
     // Exclusive prefix offsets into the output and into the data.
     let mut out_offs = Vec::with_capacity(counts.len() + 1);
     let mut data_offs = Vec::with_capacity(counts.len() + 1);
@@ -44,7 +87,8 @@ fn sbm_route_par(
         out_offs.push(oacc);
         data_offs.push(dacc);
     }
-    let mut out = vec![0u64; out_len];
+    out.clear();
+    out.resize(oacc as usize, 0);
     out.par_chunks_mut(GRAIN)
         .enumerate()
         .for_each(|(chunk_idx, chunk)| {
@@ -61,261 +105,15 @@ fn sbm_route_par(
                 *slot = data[(data_offs[seg] + rel % segs[seg]) as usize];
             }
         });
-    Ok(out)
-}
-
-/// The rayon-parallel interpreter.
-#[derive(Debug)]
-pub struct ParMachine {
-    regs: Vec<Vector>,
-    step_limit: u64,
-}
-
-impl ParMachine {
-    /// A machine sized for a program.
-    pub fn new(n_regs: usize) -> Self {
-        ParMachine {
-            regs: vec![Vec::new(); n_regs],
-            step_limit: u64::MAX,
-        }
-    }
-
-    /// Caps the number of executed instructions.
-    ///
-    /// Same inclusive contract as [`crate::exec::Machine::with_step_limit`]:
-    /// at most `limit` instructions execute, and a program halting in
-    /// exactly `limit` steps succeeds.
-    pub fn with_step_limit(mut self, limit: u64) -> Self {
-        self.step_limit = limit;
-        self
-    }
-
-    fn prepare(&mut self, prog: &Program) {
-        if self.regs.len() < prog.n_regs {
-            self.regs.resize(prog.n_regs, Vec::new());
-        }
-        for r in self.regs.iter_mut() {
-            r.clear();
-        }
-    }
-
-    /// Runs a program; semantics identical to the sequential machine.
-    pub fn run(&mut self, prog: &Program, inputs: &[Vector]) -> Result<RunOutcome, MachineError> {
-        if inputs.len() != prog.r_in {
-            return Err(MachineError::BadInputArity {
-                expected: prog.r_in,
-                got: inputs.len(),
-            });
-        }
-        self.prepare(prog);
-        for (i, v) in inputs.iter().enumerate() {
-            self.regs[i].extend_from_slice(v);
-        }
-        self.exec_loop(prog)
-    }
-
-    /// Runs a program taking ownership of the inputs (no copy).
-    pub fn run_owned(
-        &mut self,
-        prog: &Program,
-        inputs: Vec<Vector>,
-    ) -> Result<RunOutcome, MachineError> {
-        if inputs.len() != prog.r_in {
-            return Err(MachineError::BadInputArity {
-                expected: prog.r_in,
-                got: inputs.len(),
-            });
-        }
-        self.prepare(prog);
-        for (i, v) in inputs.into_iter().enumerate() {
-            self.regs[i] = v;
-        }
-        self.exec_loop(prog)
-    }
-
-    fn exec_loop(&mut self, prog: &Program) -> Result<RunOutcome, MachineError> {
-        let mut stats = Stats::default();
-        let mut pc = 0usize;
-        loop {
-            if stats.time >= self.step_limit {
-                return Err(MachineError::StepLimit);
-            }
-            let Some(ins) = prog.instrs.get(pc) else {
-                return Err(MachineError::FellOffEnd);
-            };
-            stats.time += 1;
-            let in_work: u64 = ins
-                .inputs()
-                .iter()
-                .map(|r| self.regs[*r as usize].len() as u64)
-                .sum();
-
-            let mut jumped = false;
-            match ins {
-                Instr::Arith { dst, op, a, b } => {
-                    let (va, vb) = (&self.regs[*a as usize], &self.regs[*b as usize]);
-                    if va.len() != vb.len() {
-                        return Err(MachineError::LengthMismatch {
-                            at: pc,
-                            a: va.len(),
-                            b: vb.len(),
-                        });
-                    }
-                    let op = *op;
-                    let out: Result<Vector, ()> = if va.len() >= GRAIN {
-                        va.par_iter()
-                            .zip(vb.par_iter())
-                            .map(|(x, y)| op.apply(*x, *y).ok_or(()))
-                            .collect()
-                    } else {
-                        va.iter()
-                            .zip(vb)
-                            .map(|(x, y)| op.apply(*x, *y).ok_or(()))
-                            .collect()
-                    };
-                    match out {
-                        Ok(v) => self.regs[*dst as usize] = v,
-                        Err(()) => return Err(MachineError::Arithmetic { at: pc }),
-                    }
-                }
-                Instr::Enumerate { dst, src } => {
-                    let n = self.regs[*src as usize].len();
-                    if n >= GRAIN {
-                        self.regs[*dst as usize] = (0..n as u64).into_par_iter().collect();
-                    } else {
-                        crate::exec::exec_enumerate(&mut self.regs, *dst as usize, *src as usize);
-                    }
-                }
-                Instr::BmRoute {
-                    dst,
-                    bound,
-                    counts,
-                    values,
-                } => {
-                    let counts = &self.regs[*counts as usize];
-                    let values = &self.regs[*values as usize];
-                    let bound_len = self.regs[*bound as usize].len();
-                    crate::exec::validate_bm(bound_len, counts, values)
-                        .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                    // Parallel expansion: exclusive prefix offsets, then
-                    // fill each output slot independently.
-                    let out = if bound_len >= GRAIN {
-                        let mut offs = Vec::with_capacity(counts.len() + 1);
-                        let mut acc = 0u64;
-                        offs.push(0);
-                        for c in counts {
-                            acc += c;
-                            offs.push(acc);
-                        }
-                        let mut out = vec![0u64; bound_len];
-                        out.par_chunks_mut(GRAIN)
-                            .enumerate()
-                            .for_each(|(chunk_idx, chunk)| {
-                                let base = (chunk_idx * GRAIN) as u64;
-                                // Locate the source for the first slot by
-                                // binary search, then walk forward.
-                                let mut src =
-                                    offs.partition_point(|o| *o <= base).saturating_sub(1);
-                                for (i, slot) in chunk.iter_mut().enumerate() {
-                                    let pos = base + i as u64;
-                                    while offs[src + 1] <= pos {
-                                        src += 1;
-                                    }
-                                    *slot = values[src];
-                                }
-                            });
-                        out
-                    } else {
-                        crate::exec::bm_route(bound_len, counts, values)
-                            .map_err(|what| MachineError::RouteInvariant { at: pc, what })?
-                    };
-                    self.regs[*dst as usize] = out;
-                }
-                Instr::SbmRoute {
-                    dst,
-                    bound,
-                    counts,
-                    data,
-                    segs,
-                } => {
-                    let out = sbm_route_par(
-                        self.regs[*bound as usize].len(),
-                        &self.regs[*counts as usize],
-                        &self.regs[*data as usize],
-                        &self.regs[*segs as usize],
-                    )
-                    .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                    self.regs[*dst as usize] = out;
-                }
-                // The remaining instructions are cheap or inherently
-                // sequential control; share the scalar implementations.
-                other => match other {
-                    Instr::Move { dst, src } => {
-                        crate::exec::exec_move(&mut self.regs, *dst as usize, *src as usize);
-                    }
-                    Instr::Empty { dst } => self.regs[*dst as usize].clear(),
-                    Instr::Singleton { dst, n } => {
-                        crate::exec::exec_singleton(&mut self.regs, *dst as usize, *n);
-                    }
-                    Instr::Append { dst, a, b } => {
-                        crate::exec::exec_append(
-                            &mut self.regs,
-                            *dst as usize,
-                            *a as usize,
-                            *b as usize,
-                        );
-                    }
-                    Instr::Length { dst, src } => {
-                        crate::exec::exec_length(&mut self.regs, *dst as usize, *src as usize);
-                    }
-                    Instr::Select { dst, src } => {
-                        let src_v = &self.regs[*src as usize];
-                        if src_v.len() >= GRAIN {
-                            let out: Vector =
-                                src_v.par_iter().copied().filter(|x| *x != 0).collect();
-                            self.regs[*dst as usize] = out;
-                        } else {
-                            crate::exec::exec_select(&mut self.regs, *dst as usize, *src as usize);
-                        }
-                    }
-                    Instr::Goto { target } => {
-                        pc = *target as usize;
-                        jumped = true;
-                    }
-                    Instr::IfEmptyGoto { reg, target } => {
-                        if self.regs[*reg as usize].is_empty() {
-                            pc = *target as usize;
-                            jumped = true;
-                        }
-                    }
-                    Instr::Halt => {
-                        stats.work += in_work;
-                        let outputs = self.regs[..prog.r_out].to_vec();
-                        return Ok(RunOutcome { outputs, stats });
-                    }
-                    _ => unreachable!("handled above"),
-                },
-            }
-            let out_work = ins
-                .output()
-                .map(|r| self.regs[r as usize].len() as u64)
-                .unwrap_or(0);
-            stats.work += in_work + out_work;
-            if let Some(r) = ins.output() {
-                stats.max_len = stats.max_len.max(self.regs[r as usize].len());
-            }
-            if !jumped {
-                pc += 1;
-            }
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{MachineError, ParMachine};
     use crate::instr::{Instr::*, Op};
-    use crate::program::Builder;
+    use crate::program::{Builder, Program};
 
     fn demo_program() -> Program {
         let mut b = Builder::new(2, 1);

@@ -526,7 +526,8 @@ pub fn exp_p21() {
 }
 
 /// EXP-P32 — Proposition 3.2: Brent-scheduled CREW-with-scan cycles stay
-/// within a constant of `T + W/p` across a `p` sweep.
+/// within a constant of `T + W/p` across a `p` sweep.  Panics if a row's
+/// ratio leaves `[1, 3]`, which the simulation rules out by construction.
 pub fn exp_p32() {
     println!("\n## EXP-P32: Proposition 3.2 (CREW+scan simulation)\n");
     println!("claim: cycles = O(T + W/p) for every p\n");
@@ -553,6 +554,12 @@ pub fn exp_p32() {
             format!("{:.0}", s.brent_bound()),
             format!("{:.2}", s.ratio()),
         ]);
+        // One dispatch, ⌈w/p⌉ element cycles and at most one scan cycle
+        // per instruction put every row in [T + W/p, 3·(T + W/p)].
+        assert!(
+            (1.0..=3.0).contains(&s.ratio()),
+            "EXP-P32 row p={p} outside the Brent window: {s:?}"
+        );
     }
 }
 

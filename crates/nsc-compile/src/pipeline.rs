@@ -173,8 +173,9 @@ pub enum Backend {
     /// The sequential reference interpreter ([`Machine`]).
     #[default]
     Seq,
-    /// The rayon-parallel interpreter ([`ParMachine`]) — bit-for-bit the
-    /// same semantics and `Stats`.
+    /// [`ParMachine`]: the [`Machine`] instruction loop with `bm_route`/
+    /// `sbm_route` expansions above `bvram::par::GRAIN` elements run on
+    /// worker threads — bit-for-bit the same semantics and `Stats`.
     Par,
 }
 

@@ -12,7 +12,7 @@
 //!   `while` under `map` (Lemma 7.2) batches independent requests.
 //! * **Lanes** — run the single-request program over the `B` requests in
 //!   parallel worker threads ([`bvram::run_lanes_rayon`]), optionally on
-//!   the rayon [`ParMachine`](bvram::ParMachine) per lane.  No encoding
+//!   [`ParMachine`](bvram::ParMachine) per lane.  No encoding
 //!   overhead and no cross-request coupling, but every request pays the
 //!   full per-run `T'`.
 //!

@@ -44,130 +44,21 @@ impl PramStats {
 /// Per executed instruction of work `w` (sum of operand/result register
 /// lengths): `⌈w/p⌉` cycles of striped elementwise/copy work, plus one
 /// dispatch cycle, plus one scan cycle for the routing/packing
-/// instructions (`bm_route`, `sbm_route`, `select`, `append`) whose
-/// offsets come from the scan primitive.
+/// instructions ([`bvram::Instr::is_routing`]) whose offsets come from
+/// the scan primitive.  The per-instruction work is the machine's own,
+/// reported by [`Machine::run_observed`], so the cycles always lie in
+/// `[T + W/p, 3·(T + W/p)]`.
 pub fn run_brent(prog: &Program, inputs: &[Vector], p: u64) -> Result<PramStats, MachineError> {
     assert!(p >= 1);
-    // Reference execution gives the exact per-instruction trace costs.
-    let mut machine = Machine::new(prog.n_regs);
-    let trace = machine.run_traced(prog, inputs)?;
     let mut cycles = 0u64;
-    for (instr_kind_is_routing, w) in &trace.per_instr {
-        cycles += 1; // dispatch
-        cycles += w.div_ceil(p);
-        if *instr_kind_is_routing {
-            cycles += 1; // scan primitive
-        }
-    }
+    let outcome = Machine::new(prog.n_regs).run_observed(prog, inputs, |ins, w| {
+        cycles += 1 + w.div_ceil(p) + u64::from(ins.is_routing());
+    })?;
     Ok(PramStats {
         cycles,
         p,
-        time: trace.stats.time,
-        work: trace.stats.work,
-    })
-}
-
-/// Extension trait adding a per-instruction trace to the BVRAM machine.
-pub trait Traced {
-    /// Runs and records, per executed instruction, whether it is a
-    /// routing/packing instruction and its work.
-    fn run_traced(&mut self, prog: &Program, inputs: &[Vector]) -> Result<Trace, MachineError>;
-}
-
-/// A per-instruction execution trace.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    /// `(is_routing, work)` per executed instruction.
-    pub per_instr: Vec<(bool, u64)>,
-    /// Totals.
-    pub stats: bvram::Stats,
-}
-
-impl Traced for Machine {
-    fn run_traced(&mut self, prog: &Program, inputs: &[Vector]) -> Result<Trace, MachineError> {
-        // Re-execute step by step using a step-limited sub-run per
-        // instruction would be quadratic; instead we reconstruct the trace
-        // from a single instrumented pass.
-        run_instrumented(prog, inputs)
-    }
-}
-
-fn run_instrumented(prog: &Program, inputs: &[Vector]) -> Result<Trace, MachineError> {
-    use bvram::Instr;
-    let mut m = Machine::new(prog.n_regs);
-    // A faithful re-implementation would duplicate the interpreter; we run
-    // the program once per prefix... far too slow. Instead: replay the
-    // interpreter logic here, mirroring `bvram::exec`.
-    let outcome = m.run(prog, inputs)?;
-    // Second pass: simulate the control flow again, tracking lengths only.
-    // Lengths evolve deterministically, so this mirrors the real run.
-    let mut lens: Vec<u64> = vec![0; prog.n_regs];
-    for (i, v) in inputs.iter().enumerate() {
-        lens[i] = v.len() as u64;
-    }
-    // We must follow the same branch decisions; emptiness of a register is
-    // determined by its length, which we track exactly.
-    let mut per_instr = Vec::new();
-    let mut pc = 0usize;
-    let mut steps = 0u64;
-    loop {
-        steps += 1;
-        if steps > outcome.stats.time + 1 {
-            break; // defensive: should not happen
-        }
-        let Some(ins) = prog.instrs.get(pc) else {
-            break;
-        };
-        let in_w: u64 = ins.inputs().iter().map(|r| lens[*r as usize]).sum();
-        let mut jumped = false;
-        let routing = matches!(
-            ins,
-            Instr::BmRoute { .. }
-                | Instr::SbmRoute { .. }
-                | Instr::Select { .. }
-                | Instr::Append { .. }
-        );
-        match ins {
-            Instr::Move { dst, src } => lens[*dst as usize] = lens[*src as usize],
-            Instr::Arith { dst, a, .. } => lens[*dst as usize] = lens[*a as usize],
-            Instr::Empty { dst } => lens[*dst as usize] = 0,
-            Instr::Singleton { dst, .. } | Instr::Length { dst, .. } => lens[*dst as usize] = 1,
-            Instr::Append { dst, a, b } => {
-                lens[*dst as usize] = lens[*a as usize] + lens[*b as usize]
-            }
-            Instr::Enumerate { dst, src } => lens[*dst as usize] = lens[*src as usize],
-            Instr::BmRoute { dst, bound, .. } => lens[*dst as usize] = lens[*bound as usize],
-            // Output lengths of sbm_route/select depend on the data, which
-            // the length-only replay cannot see; fall back to the real
-            // machine for those registers by re-running... instead, mark
-            // them with the bound length (sbm) and input length (select) as
-            // safe overestimates for cycle accounting.
-            Instr::SbmRoute { dst, data, .. } => lens[*dst as usize] = lens[*data as usize],
-            Instr::Select { dst, src } => lens[*dst as usize] = lens[*src as usize],
-            Instr::Goto { target } => {
-                pc = *target as usize;
-                jumped = true;
-            }
-            Instr::IfEmptyGoto { reg, target } => {
-                if lens[*reg as usize] == 0 {
-                    pc = *target as usize;
-                    jumped = true;
-                }
-            }
-            Instr::Halt => {
-                per_instr.push((false, in_w));
-                break;
-            }
-        }
-        let out_w = ins.output().map(|r| lens[r as usize]).unwrap_or(0);
-        per_instr.push((routing, in_w + out_w));
-        if !jumped {
-            pc += 1;
-        }
-    }
-    Ok(Trace {
-        per_instr,
-        stats: outcome.stats,
+        time: outcome.stats.time,
+        work: outcome.stats.work,
     })
 }
 
@@ -245,5 +136,85 @@ mod tests {
         // near-linear speedup while W/p dominates
         let speedup = c1 as f64 / c16 as f64;
         assert!(speedup > 8.0, "speedup at p=16 was {speedup:.1}");
+    }
+
+    /// `T + W/p ≤ cycles ≤ 3·(T + W/p)`, in exact integer arithmetic.
+    fn assert_brent_window(prog: &Program, inputs: &[Vector]) {
+        for procs in [1u64, 16, 1 << 16] {
+            let s = run_brent(prog, inputs, procs).unwrap();
+            let scaled = |x: u64| x as u128 * procs as u128;
+            let bound = scaled(s.time) + s.work as u128;
+            assert!(scaled(s.cycles) >= bound, "cycles below T + W/p: {s:?}");
+            assert!(
+                scaled(s.cycles) <= 3 * bound,
+                "cycles above 3(T + W/p): {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn select_loops_stay_in_the_brent_window() {
+        // Drops one element per trip: `v0 <- select(enumerate(v0))`.
+        let mut b = Builder::new(1, 1);
+        b.label("loop")
+            .if_empty_goto(0, "done")
+            .push(Enumerate { dst: 1, src: 0 })
+            .push(Select { dst: 0, src: 1 })
+            .goto("loop")
+            .label("done")
+            .push(Halt);
+        let drop_one = b.build().unwrap();
+        let s = run_brent(&drop_one, &[vec![7; 5]], 1).unwrap();
+        assert_eq!((s.time, s.work), (22, 70));
+        assert_brent_window(&drop_one, &[vec![7; 5]]);
+
+        // Halves per trip: keep the odd indices, `select(i mod 2)`.
+        let mut b = Builder::new(1, 1);
+        b.label("loop")
+            .if_empty_goto(0, "done")
+            .push(Enumerate { dst: 1, src: 0 })
+            .push(Arith {
+                dst: 2,
+                op: Op::Eq,
+                a: 1,
+                b: 1,
+            })
+            .push(Arith {
+                dst: 2,
+                op: Op::Add,
+                a: 2,
+                b: 2,
+            })
+            .push(Arith {
+                dst: 1,
+                op: Op::Mod,
+                a: 1,
+                b: 2,
+            })
+            .push(Select { dst: 0, src: 1 })
+            .goto("loop")
+            .label("done")
+            .push(Halt);
+        let halving = b.build().unwrap();
+        assert_brent_window(&halving, &[vec![1; 4096]]);
+    }
+
+    #[test]
+    fn replicating_sbm_route_stays_in_the_brent_window() {
+        // 50 one-element segments, each replicated 100 times.
+        let mut b = Builder::new(4, 1);
+        b.push(SbmRoute {
+            dst: 0,
+            bound: 0,
+            counts: 1,
+            data: 2,
+            segs: 3,
+        })
+        .push(Halt);
+        let prog = b.build().unwrap();
+        let inputs = vec![vec![0; 5000], vec![100; 50], (0..50).collect(), vec![1; 50]];
+        let s = run_brent(&prog, &inputs, 1).unwrap();
+        assert_eq!(s.work, 5000 + 50 + 50 + 50 + 5000);
+        assert_brent_window(&prog, &inputs);
     }
 }

@@ -19,8 +19,8 @@
 //! * [`serve`] — the adaptive micro-batching request server
 //!   (`nsc serve`): bounded admission queues, dual-threshold batcher
 //!   shards, per-shard metrics, and the newline-delimited JSON fronts;
-//! * [`machine`] — the Bounded Vector Random Access Machine with
-//!   sequential and rayon backends;
+//! * [`machine`] — the Bounded Vector Random Access Machine: one
+//!   interpreter loop, sequential or with parallel route expansions;
 //! * [`net`] — the Proposition 2.1 butterfly-network bound;
 //! * [`sched`] — the Proposition 3.2 CREW-with-scan Brent
 //!   simulation;
